@@ -4,8 +4,8 @@
 #ifndef BAGCPD_COMMON_RNG_H_
 #define BAGCPD_COMMON_RNG_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -18,8 +18,10 @@ namespace bagcpd {
 /// \brief Seedable pseudo-random generator with the distributions used across
 /// the library (Gaussian, multivariate Gaussian, Poisson, Dirichlet, ...).
 ///
-/// Wraps std::mt19937_64. Not thread-safe; clone one per thread with
-/// `Fork()` which derives an independent stream.
+/// Draws from bagcpd's own MT19937-64 engine, which yields exactly the word
+/// sequence of the standard library's mt19937_64 for the same seed; the std::
+/// distributions run on top of it. Not thread-safe; clone one per thread
+/// with `Fork()` which derives an independent stream.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed), seed_(seed) {}
@@ -108,23 +110,72 @@ class Rng {
   std::uint64_t seed() const { return seed_; }
 
   /// \brief The complete generator state — construction seed plus the
-  /// mt19937_64 stream position — as a portable text string (the standard's
-  /// own `operator<<` engine encoding). A generator restored from it
-  /// continues the draw sequence bitwise where this one stands; every
+  /// MT19937-64 stream position — as a text string: the seed, the 312 state
+  /// words and the word position, in decimal, separated by single spaces.
+  /// This is the array-plus-index layout libstdc++ writes for
+  /// its mt19937_64 (a never-drawn generator writes its seeded words and
+  /// position 312), not one the C++ standard fixes; bagcpd's engine defines
+  /// it and writes the bytes libstdc++ would. A generator restored from
+  /// it continues the draw sequence bitwise where this one stands; every
   /// distribution helper above builds its std:: distribution fresh per call,
   /// so the engine stream is the whole state. Used by the checkpoint
   /// subsystem (serialize/) to freeze a detector's RNG position.
   std::string SerializeState() const;
 
-  /// \brief Restores a state captured by SerializeState(); rejects malformed
-  /// text without touching the current state.
+  /// \brief Restores a state captured by SerializeState(). The text is
+  /// treated as hostile: a short word list, a position above 312, a token
+  /// that is not a decimal 64-bit word, or trailing non-space bytes is an
+  /// `Invalid` status, and the current state is left untouched.
   Status DeserializeState(const std::string& state);
 
-  /// \brief Access to the underlying engine (for std distributions in tests).
-  std::mt19937_64& engine() { return engine_; }
-
  private:
-  std::mt19937_64 engine_;
+  /// \brief MT19937-64 with the standard mt19937_64 parameters, seeding and
+  /// output. The first 312-word block is seeded and twisted on demand, a few
+  /// words at a time: output word i < 156 needs only seed words 0..i+156 and
+  /// one twist step, so a fork that draws a few dozen words skips most of the
+  /// 312-word seeding and block twist. Later blocks use the ordinary full
+  /// twist.
+  class Mt64 {
+   public:
+    using result_type = std::uint64_t;
+    static constexpr std::size_t kWords = 312;
+
+    // Only x_[0] is written: the rest of the block is filled on demand.
+    explicit Mt64(std::uint64_t seed) { x_[0] = seed; }
+
+    /// \brief Engine at a standard mt19937_64 state: `words` as its 312 state
+    /// words and `pos` (<= 312) as its next-word index.
+    Mt64(const std::uint64_t* words, std::size_t pos);
+
+    // Copies words [0, seeded_) and the counters only, so a copy never reads
+    // the block's unwritten tail (and copying a never-drawn engine is cheap).
+    Mt64(const Mt64& other) { *this = other; }
+    Mt64& operator=(const Mt64& other);
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type operator()();
+
+    /// \brief Appends the 312 words and the position in the layout above.
+    void AppendState(std::string* out) const;
+
+   private:
+    void Refill();
+
+    // Words [0, seeded_) hold defined values; the rest are indeterminate
+    // until seeding reaches them, and neither a draw nor a copy reads them.
+    // Words [0, ready_) of the current block are twisted and
+    // pos_ <= ready_; ready_ < kWords only while a block is twisted lazily.
+    // The counters fit in x_'s tail padding, so an Rng is as large as one
+    // wrapping the standard mt19937_64 and the detector's resident byte
+    // estimate, which drives spilling, keeps its value.
+    std::uint64_t x_[kWords];
+    std::uint16_t pos_ = 0;     // next output word
+    std::uint16_t ready_ = 0;   // words of the current block already twisted
+    std::uint16_t seeded_ = 1;  // words of the seed block already written
+  };
+
+  Mt64 engine_;
   std::uint64_t seed_;
 };
 

@@ -18,6 +18,11 @@ namespace {
 // from scratch by the lazy per-task check, so results are unaffected.
 constexpr std::uint64_t kIdleSweepPeriod = 512;
 
+// Consumed spill files a busy shard keeps for reuse. A shard rarely
+// rehydrates many more streams than it spills before its queue runs empty;
+// the cap bounds the disk a long busy spell holds in stale files.
+constexpr std::size_t kConsumedSpillFiles = 16;
+
 }  // namespace
 
 std::uint64_t DerivePerStreamSeed(std::uint64_t engine_seed,
@@ -331,7 +336,17 @@ void StreamEngine::WorkerLoop(std::size_t shard_index) {
       EnforceSpillBudget(shard, seq);
     }
     {
-      std::lock_guard<std::mutex> lock(shard.mu);
+      std::unique_lock<std::mutex> lock(shard.mu);
+      if (shard.queue.empty() && !shard.consumed_spills.empty()) {
+        // Going idle: delete the files no spill reused, while still busy so
+        // QuiesceShard and Flush callers never observe them.
+        lock.unlock();
+        for (const std::string& path : shard.consumed_spills) {
+          std::remove(path.c_str());
+        }
+        shard.consumed_spills.clear();
+        lock.lock();
+      }
       shard.busy = false;
       if (shard.queue.empty()) shard.drained.notify_all();
     }
@@ -909,7 +924,16 @@ bool StreamEngine::SpillStream(Shard& shard, const std::string& stream_id,
   rec.profile = it->second.profile;
   rec.last_seq = it->second.last_seq;
   rec.blob_bytes = stream_blob.size();
-  if (!serialize::WriteFileBytes(rec.path, stream_blob).ok()) {
+  std::string reuse;
+  if (!shard.consumed_spills.empty()) {
+    reuse = std::move(shard.consumed_spills.back());
+    shard.consumed_spills.pop_back();
+  }
+  const Status written =
+      reuse.empty()
+          ? serialize::WriteFileBytes(rec.path, stream_blob)
+          : serialize::RewriteFileBytes(reuse, rec.path, stream_blob);
+  if (!written.ok()) {
     // Stream stays resident: memory pressure persists but nothing is lost.
     std::remove(rec.path.c_str());
     return false;
@@ -968,8 +992,13 @@ Status StreamEngine::RehydrateStream(Shard& shard, const std::string& stream_id,
   }();
   shard.arena->Release(std::move(storage));
   // The spill file is consumed either way: on success the state is resident
-  // again, on failure the caller quarantines the stream.
-  std::remove(rec.path.c_str());
+  // again and the file is kept for the shard's next spill to reuse; on
+  // failure the caller quarantines the stream.
+  if (status.ok() && shard.consumed_spills.size() < kConsumedSpillFiles) {
+    shard.consumed_spills.push_back(std::move(rec.path));
+  } else {
+    std::remove(rec.path.c_str());
+  }
   return status;
 }
 

@@ -540,6 +540,13 @@ class StreamEngine {
     std::unordered_map<std::string, Status> quarantined;
     // Worker-local counter driving the periodic idle sweep.
     std::uint64_t processed_since_sweep = 0;
+    // Spill files that rehydrates consumed (at most kConsumedSpillFiles).
+    // The shard's next spills rename and overwrite them instead of creating
+    // files, and the worker deletes the rest when its queue runs empty, so
+    // an idle shard's directory holds exactly one file per spilled stream.
+    // Creating and deleting files allocates and frees inodes, which on
+    // common file systems serializes every shard.
+    std::vector<std::string> consumed_spills;
   };
 
   // Moves *bag into the shard queue only once space is secured, so a

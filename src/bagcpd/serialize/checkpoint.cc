@@ -1,6 +1,8 @@
 #include "bagcpd/serialize/checkpoint.h"
 
 #include <cstdio>
+#include <filesystem>
+#include <system_error>
 
 namespace bagcpd {
 namespace serialize {
@@ -183,6 +185,34 @@ Status WriteFileBytes(const std::string& path, std::string_view data) {
   const std::size_t written = std::fwrite(data.data(), 1, data.size(), f);
   const int close_rc = std::fclose(f);
   if (written != data.size() || close_rc != 0) {
+    std::remove(path.c_str());
+    return Status::IoError("short write to '" + path + "'");
+  }
+  return Status::OK();
+}
+
+Status RewriteFileBytes(const std::string& reuse, const std::string& path,
+                        std::string_view data) {
+  if (std::rename(reuse.c_str(), path.c_str()) != 0) {
+    std::remove(reuse.c_str());
+    return WriteFileBytes(path, data);
+  }
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  if (f == nullptr) {
+    std::remove(path.c_str());
+    return Status::IoError("cannot open '" + path + "' for writing");
+  }
+  const bool sized = std::fseek(f, 0, SEEK_END) == 0;
+  const long old_size = sized ? std::ftell(f) : -1;
+  std::rewind(f);
+  const std::size_t written = std::fwrite(data.data(), 1, data.size(), f);
+  const int close_rc = std::fclose(f);
+  std::error_code shrink_error;
+  if (old_size > static_cast<long>(data.size())) {
+    std::filesystem::resize_file(path, data.size(), shrink_error);
+  }
+  if (old_size < 0 || written != data.size() || close_rc != 0 ||
+      shrink_error) {
     std::remove(path.c_str());
     return Status::IoError("short write to '" + path + "'");
   }

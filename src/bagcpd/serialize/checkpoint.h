@@ -14,7 +14,8 @@
 //    TABLE    u32 w, u8 primed, w*w log-EMD doubles in logical (p, q) order
 //    COUNTERS u64 next_index
 //    HISTORY  u32 n, n theta_up doubles (oldest first)
-//    RNG      length-prefixed engine-state string (seed + mt19937_64 stream)
+//    RNG      length-prefixed Rng::SerializeState string (seed, 312
+//             MT19937-64 words, word position)
 //
 //  engine stream blob (BlobKind::kEngineStream) — one stream of an engine:
 //    KEY      stream key string
@@ -125,6 +126,13 @@ Result<CheckpointInfo> InspectCheckpoint(std::string_view blob);
 /// detected by the checksum on read, and a spill file is always recreatable
 /// from live traffic.
 Status WriteFileBytes(const std::string& path, std::string_view data);
+
+/// \brief Writes `data` to `path` by renaming the existing file `reuse` to
+/// `path` and overwriting it in place (shrunk to `data` when it was longer),
+/// so no file is created or deleted. Falls back to deleting `reuse` and
+/// calling WriteFileBytes when the rename fails; `reuse` is gone either way.
+Status RewriteFileBytes(const std::string& reuse, const std::string& path,
+                        std::string_view data);
 
 /// \brief Reads all of `path` into `*storage`, a double buffer acquired from
 /// `arena` (plain allocation when null) so the spill re-import hot path never

@@ -264,7 +264,7 @@ Result<std::unique_ptr<BagStreamDetector>> BagStreamDetector::CreateFromState(
 }
 
 std::size_t BagStreamDetector::EstimatedStateBytes() const {
-  // mt19937_64 is 312 64-bit words plus the position; the text encoding the
+  // MT19937-64 is 312 64-bit words plus the position; the text encoding the
   // blob actually carries is about 2.5x that, but the estimate tracks the
   // RESIDENT footprint (what spilling frees), not the file size.
   constexpr std::size_t kRngBytes = 313 * sizeof(std::uint64_t);

@@ -275,6 +275,45 @@ TEST_F(DetectorStateRobustnessTest, WrongBlobKindIsInvalid) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
 }
 
+TEST_F(DetectorStateRobustnessTest, HostileRngStateIsInvalid) {
+  // A CRC-valid blob whose RNG text carries a word position past the
+  // 312-word block: re-encode every section, swapping in the hostile text,
+  // so the checksum is valid and only the RNG decoder can object.
+  Result<serialize::WireReader> opened =
+      serialize::OpenBlob(blob_, serialize::BlobKind::kDetector);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  serialize::WireReader reader = opened.MoveValueUnsafe();
+  std::string hostile;
+  serialize::WireWriter writer(&hostile);
+  writer.BeginBlob(serialize::BlobKind::kDetector);
+  bool saw_rng = false;
+  while (!reader.AtEnd()) {
+    std::uint32_t tag = 0;
+    std::string_view payload;
+    ASSERT_TRUE(reader.NextSection(&tag, &payload).ok());
+    writer.BeginSection(tag);
+    if (tag == serialize::kSecRng) {
+      serialize::WireReader section(payload);
+      std::string_view text;
+      ASSERT_TRUE(section.ReadString(&text).ok());
+      const std::string state(text);
+      writer.PutString(state.substr(0, state.rfind(' ') + 1) + "313");
+      saw_rng = true;
+    } else {
+      writer.PutBytes(payload.data(), payload.size());
+    }
+    writer.EndSection();
+  }
+  writer.EndBlob();
+  ASSERT_TRUE(saw_rng);
+
+  auto victim = BagStreamDetector::Create(BaseOptions()).MoveValueUnsafe();
+  for (std::size_t t = 0; t < 5; ++t) ASSERT_TRUE(victim->Push(bags_[t]).ok());
+  const Status status = victim->ImportState(hostile);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  ExpectUnmodified(victim.get(), 5);
+}
+
 TEST(DetectorStateTest, EstimatedStateBytesTracksWindowFill) {
   const BagSequence bags = JumpStream(10, 0, 3);
   auto detector = BagStreamDetector::Create(BaseOptions()).MoveValueUnsafe();

@@ -4,10 +4,14 @@
 // transparently rehydrate on their next bag with identical results, and
 // every malformed or conflicting import is a typed Status.
 
+#include <dirent.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -118,6 +122,57 @@ std::string MakeSpillDir() {
   const char* dir = mkdtemp(tmpl.data());
   EXPECT_NE(dir, nullptr);
   return tmpl;
+}
+
+std::size_t CountFiles(const std::string& dir) {
+  std::size_t files = 0;
+  DIR* handle = opendir(dir.c_str());
+  EXPECT_NE(handle, nullptr) << dir;
+  if (handle == nullptr) return files;
+  while (dirent* entry = readdir(handle)) {
+    const std::string name = entry->d_name;
+    if (name != "." && name != "..") ++files;
+  }
+  closedir(handle);
+  return files;
+}
+
+std::string FileContents(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+ino_t InodeOf(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(stat(path.c_str(), &st), 0) << path;
+  return st.st_ino;
+}
+
+TEST(EngineCheckpointTest, RewriteFileBytesMovesAndOverwritesInPlace) {
+  const std::string dir = MakeSpillDir();
+  const std::string a = dir + "/a", b = dir + "/b", c = dir + "/c";
+  const std::string longer(5000, 'x');
+  const std::string shorter = "spill payload";
+  ASSERT_TRUE(serialize::WriteFileBytes(a, longer).ok());
+  const ino_t inode = InodeOf(a);
+
+  // Shrinks: the old tail must not survive past the new payload.
+  ASSERT_TRUE(serialize::RewriteFileBytes(a, b, shorter).ok());
+  EXPECT_NE(access(a.c_str(), F_OK), 0);
+  EXPECT_EQ(FileContents(b), shorter);
+  EXPECT_EQ(InodeOf(b), inode);  // The same file, renamed.
+
+  // Grows.
+  ASSERT_TRUE(serialize::RewriteFileBytes(b, c, longer).ok());
+  EXPECT_EQ(FileContents(c), longer);
+  EXPECT_EQ(InodeOf(c), inode);
+  EXPECT_EQ(CountFiles(dir), 1u);
+
+  // A missing file to reuse falls back to a plain write.
+  ASSERT_TRUE(serialize::RewriteFileBytes(a, b, shorter).ok());
+  EXPECT_EQ(FileContents(b), shorter);
+  EXPECT_EQ(CountFiles(dir), 2u);
 }
 
 TEST(EngineCheckpointTest, CheckpointRestoreBitwiseAcrossShardCounts) {
@@ -338,11 +393,41 @@ TEST(EngineCheckpointTest, SpillThenTouchRoundTrip) {
     }
     EXPECT_TRUE(saw_spill) << shards << " shards";
     EXPECT_TRUE(saw_rehydrate) << shards << " shards";
+    // Rehydrated files are reused by later spills or deleted: an idle
+    // engine's directory holds exactly one file per spilled stream.
+    EXPECT_EQ(CountFiles(options.spill_directory),
+              engine->spilled_count() - engine->restored_count())
+        << shards << " shards";
     ExpectIdenticalSeries(expected, steps,
                           "spill @ " + std::to_string(shards) + " shards");
     // Rehydration stages file bytes through the shard arenas.
     EXPECT_GT(engine->arena_stats().pool_hits, 0u);
   }
+}
+
+TEST(EngineCheckpointTest, RehydratedSpillFileLeavesTheDirectory) {
+  // No budget, so no spill follows the rehydrate to reuse its file: the
+  // shard deletes it before it goes idle.
+  StreamEngineOptions options = EngineOptions(1);
+  options.spill_directory = MakeSpillDir();
+  options.max_idle_submissions = 4;
+  auto engine = StreamEngine::Create(options).MoveValueUnsafe();
+  const BagSequence cold = KeyStream("cold", 5);
+  for (std::size_t t = 0; t < 4; ++t) {
+    ASSERT_TRUE(engine->Submit("cold", cold[t]).ok());
+  }
+  const Bag filler = KeyStream("busy", 1).front();
+  for (int i = 0; i < 600; ++i) {  // The idle sweep spills "cold".
+    ASSERT_TRUE(engine->Submit("busy", filler).ok());
+  }
+  engine->Flush();
+  ASSERT_EQ(engine->spilled_count(), 1u);
+  EXPECT_EQ(CountFiles(options.spill_directory), 1u);
+
+  ASSERT_TRUE(engine->Submit("cold", cold[4]).ok());
+  engine->Flush();
+  EXPECT_EQ(engine->restored_count(), 1u);
+  EXPECT_EQ(CountFiles(options.spill_directory), 0u);
 }
 
 TEST(EngineCheckpointTest, CheckpointCoversSpilledStreams) {

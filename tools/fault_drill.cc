@@ -19,6 +19,7 @@
 // drill outcome itself is shard-invariant. With spec `-` the drill prints
 // the reference run and exits (a disarmed-injector baseline for the diff).
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
