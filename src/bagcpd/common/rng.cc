@@ -62,6 +62,23 @@ void AppendDecimal(std::uint64_t value, std::string* out) {
   out->append(digits, r.ptr);
 }
 
+// Exp(1) by inversion on one engine word. U = ((w >> 11) + 1) * 2^-53 takes
+// the word's top 53 bits onto (0, 1], so -log(U) is finite and >= 0.
+double ExpOneFromWord(std::uint64_t w) {
+  return -std::log(static_cast<double>((w >> 11) + 1) * 0x1.0p-53);
+}
+
+// Normalizes draws[0, n) by their sum. All-zero draws are possible (for tiny
+// Gamma shapes through underflow); they fall back to the uniform simplex
+// point rather than dividing by zero.
+void NormalizeToSimplex(double* draws, std::size_t n, double total) {
+  if (total <= 0.0) {
+    std::fill(draws, draws + n, 1.0 / static_cast<double>(n));
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) draws[i] /= total;
+}
+
 bool IsSpace(char c) {
   return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' ||
          c == '\f';
@@ -208,8 +225,7 @@ bool Rng::Bernoulli(double p) {
 
 double Rng::Exponential(double rate) {
   BAGCPD_DCHECK(rate > 0.0);
-  std::exponential_distribution<double> dist(rate);
-  return dist(engine_);
+  return ExpOneFromWord(engine_()) / rate;
 }
 
 double Rng::Gamma(double shape, double scale) {
@@ -218,28 +234,37 @@ double Rng::Gamma(double shape, double scale) {
   return dist(engine_);
 }
 
-std::vector<double> Rng::Dirichlet(const std::vector<double>& alpha) {
+void Rng::Dirichlet(const std::vector<double>& alpha, double* out) {
   BAGCPD_CHECK_MSG(!alpha.empty(), "Dirichlet with empty alpha");
-  std::vector<double> draws(alpha.size());
   double total = 0.0;
   for (std::size_t i = 0; i < alpha.size(); ++i) {
     BAGCPD_DCHECK(alpha[i] > 0.0);
-    draws[i] = Gamma(alpha[i], 1.0);
-    total += draws[i];
+    out[i] = Gamma(alpha[i], 1.0);
+    total += out[i];
   }
-  // All-zero draws are possible for tiny alpha due to underflow; fall back to
-  // the uniform simplex point rather than dividing by zero.
-  if (total <= 0.0) {
-    const double u = 1.0 / static_cast<double>(alpha.size());
-    std::fill(draws.begin(), draws.end(), u);
-    return draws;
-  }
-  for (double& v : draws) v /= total;
+  NormalizeToSimplex(out, alpha.size(), total);
+}
+
+std::vector<double> Rng::Dirichlet(const std::vector<double>& alpha) {
+  std::vector<double> draws(alpha.size());
+  Dirichlet(alpha, draws.data());
   return draws;
 }
 
-std::vector<double> Rng::SymmetricDirichlet(std::size_t n, double alpha) {
-  return Dirichlet(std::vector<double>(n, alpha));
+void Rng::SymmetricDirichlet(std::size_t n, double* out) {
+  BAGCPD_CHECK_MSG(n > 0, "Dirichlet of dimension 0");
+  double total = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = ExpOneFromWord(engine_());
+    total += out[i];
+  }
+  NormalizeToSimplex(out, n, total);
+}
+
+std::vector<double> Rng::SymmetricDirichlet(std::size_t n) {
+  std::vector<double> draws(n);
+  SymmetricDirichlet(n, draws.data());
+  return draws;
 }
 
 std::vector<int> Rng::Multinomial(int n, const std::vector<double>& probs) {

@@ -19,9 +19,12 @@ namespace bagcpd {
 /// the library (Gaussian, multivariate Gaussian, Poisson, Dirichlet, ...).
 ///
 /// Draws from bagcpd's own MT19937-64 engine, which yields exactly the word
-/// sequence of the standard library's mt19937_64 for the same seed; the std::
-/// distributions run on top of it. Not thread-safe; clone one per thread
-/// with `Fork()` which derives an independent stream.
+/// sequence of the standard library's mt19937_64 for the same seed. The
+/// exponential and flat-Dirichlet samplers are bagcpd's own (inversion on one
+/// engine word per variate), so their draws do not depend on the standard
+/// library; the other distributions are std:: ones running on the engine.
+/// Not thread-safe; clone one per thread with `Fork()` which derives an
+/// independent stream.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed), seed_(seed) {}
@@ -73,18 +76,27 @@ class Rng {
   /// \brief Bernoulli draw with success probability p.
   bool Bernoulli(double p);
 
-  /// \brief Exponential draw with the given rate.
+  /// \brief Exponential draw with the given rate, by inversion on one engine
+  /// word w: -log(U) / rate with U = ((w >> 11) + 1) * 2^-53 in (0, 1], so
+  /// every draw is finite and >= 0.
   double Exponential(double rate);
 
   /// \brief Gamma draw with the given shape and scale.
   double Gamma(double shape, double scale);
 
-  /// \brief Dirichlet draw with concentration vector `alpha`; the result sums
-  /// to one. Used by the Bayesian bootstrap (paper Eqs. 21-22, Appendix A/B).
+  /// \brief Dirichlet draw with concentration vector `alpha`, written to
+  /// out[0, alpha.size()); it sums to one. One Gamma(alpha_i) draw per
+  /// coordinate, normalized. The Bayesian bootstrap's sampler for a
+  /// non-uniform prior (paper Eqs. 21-22, Appendix B).
+  void Dirichlet(const std::vector<double>& alpha, double* out);
   std::vector<double> Dirichlet(const std::vector<double>& alpha);
 
-  /// \brief Symmetric Dirichlet Dir(alpha, ..., alpha) of dimension n.
-  std::vector<double> SymmetricDirichlet(std::size_t n, double alpha = 1.0);
+  /// \brief Flat Dirichlet Dir(1, ..., 1) of dimension n, written to
+  /// out[0, n): n Exp(1) draws by inversion (one engine word each, as
+  /// Exponential), normalized by their sum. The Bayesian bootstrap's sampler
+  /// for the uniform prior (Appendix A).
+  void SymmetricDirichlet(std::size_t n, double* out);
+  std::vector<double> SymmetricDirichlet(std::size_t n);
 
   /// \brief Multinomial counts: n trials over the probability vector `probs`.
   std::vector<int> Multinomial(int n, const std::vector<double>& probs);

@@ -6,8 +6,11 @@
 //   {gamma_test} ~ Dir(tau' * pi_test)    (Eq. 22)
 //
 // and the score recomputed from the cached log-EMD tables, yielding the
-// [alpha/2, 1-alpha/2] quantile interval. A standard (multinomial) bootstrap
-// is provided for the ablation study of the smoothness claim in Section 4.2.
+// [alpha/2, 1-alpha/2] quantile interval. A uniform prior selects the flat
+// Dir(1,...,1) sampler: tau (or tau') Exp(1) variates, each by inversion on
+// one engine word, normalized. Any other prior draws Dir(n * pi) through
+// Gamma variates. A standard (multinomial) bootstrap is provided for the
+// ablation study of the smoothness claim in Section 4.2.
 
 #ifndef BAGCPD_CORE_BOOTSTRAP_H_
 #define BAGCPD_CORE_BOOTSTRAP_H_
@@ -59,15 +62,20 @@ struct BootstrapInterval {
 };
 
 /// \brief Draws one weight replicate for a window of size n with base weights
-/// `pi` (simplex). Bayesian: Dir(n * pi). Standard: multinomial(n, pi) / n.
+/// `pi` (simplex). Bayesian: Dir(n * pi), drawn by Rng::SymmetricDirichlet
+/// when every entry of `pi` is equal (Appendix A's Dir(1, ..., 1)) and by
+/// Rng::Dirichlet otherwise. Standard: multinomial(n, pi) / n.
 std::vector<double> ResampleWeights(BootstrapMethod method,
                                     const std::vector<double>& pi, Rng* rng);
 
 /// \brief Bootstraps the chosen change-point score over a fixed ScoreContext.
 ///
 /// `pi_ref` / `pi_test` are the base (prior) weights of the two windows; pass
-/// uniform vectors for the paper's default. The same EMD tables in `ctx` are
-/// reused by every replicate.
+/// uniform vectors for the paper's default. When both are uniform, the
+/// Bayesian replicates draw Dir(1, ..., 1) by exponential inversion; any
+/// other prior draws Dir(n * pi) through Gamma variates, as ResampleWeights
+/// does. The same EMD tables in `ctx` are reused by every replicate, and
+/// the replicate loop allocates nothing for the Bayesian bootstrap.
 ///
 /// Each replicate draws from its own RNG stream forked off one fresh base
 /// seed pulled from `rng` (which advances by exactly one word per call), so

@@ -43,19 +43,44 @@ Status ScoreContext::Validate() const {
   return Status::OK();
 }
 
-Result<double> ScoreLogLikelihoodRatio(const ScoreContext& ctx,
-                                       const std::vector<double>& gamma_ref,
-                                       const std::vector<double>& gamma_test) {
+Status CheckScoreInputs(ScoreType type, const ScoreContext& ctx,
+                        std::size_t ref_size, std::size_t test_size) {
   BAGCPD_RETURN_NOT_OK(ctx.Validate());
-  if (gamma_ref.size() != ctx.tau() || gamma_test.size() != ctx.tau_prime()) {
+  if (ref_size != ctx.tau() || test_size != ctx.tau_prime()) {
     return Status::Invalid("weight vector size mismatch");
   }
-  if (ctx.tau_prime() < 2) {
-    return Status::Invalid("scoreLR needs tau' >= 2 (S_test \\ S_t non-empty)");
+  switch (type) {
+    case ScoreType::kLogLikelihoodRatio:
+      if (ctx.tau_prime() < 2) {
+        return Status::Invalid(
+            "scoreLR needs tau' >= 2 (S_test \\ S_t non-empty)");
+      }
+      return Status::OK();
+    case ScoreType::kSymmetrizedKl:
+      if (ctx.tau() < 2 || ctx.tau_prime() < 2) {
+        return Status::Invalid("scoreKL needs tau >= 2 and tau' >= 2");
+      }
+      return Status::OK();
+  }
+  return Status::Invalid("unknown score type");
+}
+
+Result<double> ComputeCheckedScore(ScoreType type, const ScoreContext& ctx,
+                                   const std::vector<double>& gamma_ref,
+                                   const std::vector<double>& gamma_test) {
+  if (type == ScoreType::kSymmetrizedKl) {
+    const double cross =
+        CrossEntropyFromLog(ctx.log_ref_test, gamma_ref, gamma_test, ctx.info);
+    const double auto_ref =
+        AutoEntropyFromLog(ctx.log_ref_ref, gamma_ref, ctx.info);
+    const double auto_test =
+        AutoEntropyFromLog(ctx.log_test_test, gamma_test, ctx.info);
+    // Eq. 17; the c constants cancel.
+    return cross - 0.5 * (auto_ref + auto_test);
   }
 
-  // I(S_t; S_ref): S_t is test element 0, so the distances are column 0 of
-  // log_ref_test weighted by gamma_ref.
+  // Eq. 16. I(S_t; S_ref): S_t is test element 0, so the distances are
+  // column 0 of log_ref_test weighted by gamma_ref.
   double info_ref = 0.0;
   for (std::size_t i = 0; i < ctx.tau(); ++i) {
     info_ref += gamma_ref[i] * ctx.log_ref_test(i, 0);
@@ -76,36 +101,25 @@ Result<double> ScoreLogLikelihoodRatio(const ScoreContext& ctx,
   return d * (info_ref - info_test);
 }
 
-Result<double> ScoreSymmetrizedKl(const ScoreContext& ctx,
-                                  const std::vector<double>& gamma_ref,
-                                  const std::vector<double>& gamma_test) {
-  BAGCPD_RETURN_NOT_OK(ctx.Validate());
-  if (gamma_ref.size() != ctx.tau() || gamma_test.size() != ctx.tau_prime()) {
-    return Status::Invalid("weight vector size mismatch");
-  }
-  if (ctx.tau() < 2 || ctx.tau_prime() < 2) {
-    return Status::Invalid("scoreKL needs tau >= 2 and tau' >= 2");
-  }
-  const double cross =
-      CrossEntropyFromLog(ctx.log_ref_test, gamma_ref, gamma_test, ctx.info);
-  const double auto_ref =
-      AutoEntropyFromLog(ctx.log_ref_ref, gamma_ref, ctx.info);
-  const double auto_test =
-      AutoEntropyFromLog(ctx.log_test_test, gamma_test, ctx.info);
-  // Eq. 17; the c constants cancel.
-  return cross - 0.5 * (auto_ref + auto_test);
-}
-
 Result<double> ComputeScore(ScoreType type, const ScoreContext& ctx,
                             const std::vector<double>& gamma_ref,
                             const std::vector<double>& gamma_test) {
-  switch (type) {
-    case ScoreType::kLogLikelihoodRatio:
-      return ScoreLogLikelihoodRatio(ctx, gamma_ref, gamma_test);
-    case ScoreType::kSymmetrizedKl:
-      return ScoreSymmetrizedKl(ctx, gamma_ref, gamma_test);
-  }
-  return Status::Invalid("unknown score type");
+  BAGCPD_RETURN_NOT_OK(
+      CheckScoreInputs(type, ctx, gamma_ref.size(), gamma_test.size()));
+  return ComputeCheckedScore(type, ctx, gamma_ref, gamma_test);
+}
+
+Result<double> ScoreLogLikelihoodRatio(const ScoreContext& ctx,
+                                       const std::vector<double>& gamma_ref,
+                                       const std::vector<double>& gamma_test) {
+  return ComputeScore(ScoreType::kLogLikelihoodRatio, ctx, gamma_ref,
+                      gamma_test);
+}
+
+Result<double> ScoreSymmetrizedKl(const ScoreContext& ctx,
+                                  const std::vector<double>& gamma_ref,
+                                  const std::vector<double>& gamma_test) {
+  return ComputeScore(ScoreType::kSymmetrizedKl, ctx, gamma_ref, gamma_test);
 }
 
 }  // namespace bagcpd

@@ -70,10 +70,24 @@ Result<double> ScoreSymmetrizedKl(const ScoreContext& ctx,
                                   const std::vector<double>& gamma_ref,
                                   const std::vector<double>& gamma_test);
 
-/// \brief Dispatches on `type`.
+/// \brief Dispatches on `type`: CheckScoreInputs, then ComputeCheckedScore.
 Result<double> ComputeScore(ScoreType type, const ScoreContext& ctx,
                             const std::vector<double>& gamma_ref,
                             const std::vector<double>& gamma_test);
+
+/// \brief The input checks of ComputeScore: the context's shape, weight
+/// vectors of `ref_size` and `test_size` entries, and the window sizes
+/// `type` needs.
+Status CheckScoreInputs(ScoreType type, const ScoreContext& ctx,
+                        std::size_t ref_size, std::size_t test_size);
+
+/// \brief ComputeScore on inputs CheckScoreInputs already accepted, for a
+/// caller that scores many weight vectors over one context (the bootstrap's
+/// replicate loop). Only a weight value can still fail: scoreLR with
+/// gamma_test[0] == 1.
+Result<double> ComputeCheckedScore(ScoreType type, const ScoreContext& ctx,
+                                   const std::vector<double>& gamma_ref,
+                                   const std::vector<double>& gamma_test);
 
 }  // namespace bagcpd
 

@@ -374,7 +374,7 @@ void StreamEngine::EmitEvent(EngineEvent event) {
 }
 
 void StreamEngine::QuarantineStream(Shard& shard, const std::string& stream_id,
-                                    const std::string& profile,
+                                    std::string profile,
                                     std::uint64_t seq, const Status& error,
                                     std::uint64_t latency_ns) {
   shard.quarantined.emplace(stream_id, error);
@@ -399,7 +399,7 @@ void StreamEngine::QuarantineStream(Shard& shard, const std::string& stream_id,
   EngineEvent event;
   event.kind = EngineEvent::Kind::kError;
   event.stream_id = stream_id;
-  event.profile = profile;
+  event.profile = std::move(profile);
   event.sequence = seq;
   event.enqueue_to_process_ns = latency_ns;
   event.error = error;

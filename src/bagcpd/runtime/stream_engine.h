@@ -567,8 +567,10 @@ class StreamEngine {
   // Routes an event to the sink / legacy callback / queue; `quarantine`
   // additionally records the key so RunBatch can refuse it later.
   void EmitEvent(EngineEvent event);
+  // `profile` is taken by value: callers pass the bound profile out of a
+  // detector, spill or recovery entry, and this function erases all three.
   void QuarantineStream(Shard& shard, const std::string& stream_id,
-                        const std::string& profile, std::uint64_t seq,
+                        std::string profile, std::uint64_t seq,
                         const Status& error, std::uint64_t latency_ns = 0);
   // Recovery ladder for a failed stream: quarantines when max_stream_faults
   // is 0 (the historical contract) or the budget is exhausted; otherwise

@@ -213,7 +213,15 @@ Status BagStreamDetector::ImportState(std::string_view blob) {
       return Status::IoError("detector blob window slot " + std::to_string(i) +
                              " is empty");
     }
-    const std::size_t doubles = static_cast<std::size_t>(k) * (dim + 1);
+    // Bound the slot by the bytes its payload actually holds before sizing
+    // the staging buffer: a CRC-valid blob can still carry an inflated k.
+    const std::size_t doubles =
+        static_cast<std::size_t>(k) * (static_cast<std::size_t>(dim) + 1);
+    if (doubles > ring_reader.remaining() / 8) {
+      return Status::IoError("detector blob window slot " + std::to_string(i) +
+                             " claims " + std::to_string(k) +
+                             " centers, more than its payload holds");
+    }
     if (staging.vec().capacity() < doubles) {
       staging = PooledBuffer::AcquireFrom(arena_, doubles);
     }
@@ -264,13 +272,11 @@ Result<std::unique_ptr<BagStreamDetector>> BagStreamDetector::CreateFromState(
 }
 
 std::size_t BagStreamDetector::EstimatedStateBytes() const {
-  // MT19937-64 is 312 64-bit words plus the position; the text encoding the
-  // blob actually carries is about 2.5x that, but the estimate tracks the
-  // RESIDENT footprint (what spilling frees), not the file size.
-  constexpr std::size_t kRngBytes = 313 * sizeof(std::uint64_t);
+  // The RESIDENT footprint (what spilling frees), not the blob size. The
+  // Rng, MT state included, is a member, so sizeof(*this) counts it.
   return sizeof(*this) + window_.memory_bytes() +
          log_table_.capacity() * sizeof(double) +
-         upper_history_.size() * sizeof(double) + kRngBytes;
+         upper_history_.size() * sizeof(double);
 }
 
 }  // namespace bagcpd

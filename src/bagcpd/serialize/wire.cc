@@ -146,7 +146,7 @@ Status WireReader::ReadF64(double* v) {
 }
 
 Status WireReader::ReadF64Array(double* out, std::size_t n) {
-  if (remaining() < 8 * n) {
+  if (n > remaining() / 8) {
     return Status::IoError("truncated blob: expected f64 array of " +
                            std::to_string(n));
   }

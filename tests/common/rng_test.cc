@@ -89,7 +89,7 @@ TEST(RngTest, PoissonMeanAndMinValue) {
 TEST(RngTest, DirichletSumsToOne) {
   Rng rng(7);
   for (int trial = 0; trial < 100; ++trial) {
-    std::vector<double> g = rng.SymmetricDirichlet(5, 1.0);
+    std::vector<double> g = rng.SymmetricDirichlet(5);
     EXPECT_EQ(g.size(), 5u);
     const double total = std::accumulate(g.begin(), g.end(), 0.0);
     EXPECT_NEAR(total, 1.0, 1e-12);
@@ -251,10 +251,13 @@ TEST(RngEngineTest, StateTextMatchesStdLayoutAndResumes) {
   }
 }
 
-TEST(RngEngineTest, EverySamplerMatchesStdDistributions) {
-  // Each Rng helper against the same std:: distribution (or composition of
-  // them) on std::mt19937_64, compared bit for bit and interleaved so every
-  // helper also runs across the lazily twisted block and block ends.
+TEST(RngEngineTest, StdBackedSamplersMatchStdDistributions) {
+  // Each std::-backed Rng helper against the same std:: distribution (or
+  // composition of them) on std::mt19937_64, compared bit for bit and
+  // interleaved so every helper also runs across the lazily twisted block and
+  // block ends. Exponential and SymmetricDirichlet are bagcpd's own samplers
+  // (pinned in RngSamplerPinTest); here they only have to consume exactly one
+  // engine word per variate, so the oracle skips that many.
   const Matrix identity = Matrix::FromRows({{1.0, 0.0}, {0.0, 1.0}});
   for (std::uint64_t seed : {std::uint64_t{3}, Rng(9).Fork(0).seed()}) {
     Rng rng(seed);
@@ -272,8 +275,8 @@ TEST(RngEngineTest, EverySamplerMatchesStdDistributions) {
       EXPECT_EQ(rng.Poisson(0.01, 3),
                 std::max(3, std::poisson_distribution<int>(0.01)(e)));
       EXPECT_EQ(rng.Bernoulli(0.3), std::bernoulli_distribution(0.3)(e));
-      EXPECT_EQ(rng.Exponential(1.5),
-                std::exponential_distribution<double>(1.5)(e));
+      rng.Exponential(1.5);
+      e.discard(1);
       EXPECT_EQ(rng.Gamma(0.7, 2.0),
                 std::gamma_distribution<double>(0.7, 2.0)(e));
 
@@ -288,15 +291,8 @@ TEST(RngEngineTest, EverySamplerMatchesStdDistributions) {
       for (double& v : want_dir) v /= total;
       EXPECT_EQ(dir, want_dir);
 
-      const std::vector<double> sym = rng.SymmetricDirichlet(4);
-      std::vector<double> want_sym;
-      total = 0.0;
-      for (int i = 0; i < 4; ++i) {
-        want_sym.push_back(std::gamma_distribution<double>(1.0, 1.0)(e));
-        total += want_sym.back();
-      }
-      for (double& v : want_sym) v /= total;
-      EXPECT_EQ(sym, want_sym);
+      rng.SymmetricDirichlet(4);
+      e.discard(4);
 
       const std::vector<double> probs = {0.2, 0.3, 0.5};
       const std::vector<int> counts = rng.Multinomial(50, probs);
@@ -349,6 +345,48 @@ TEST(RngEngineTest, EverySamplerMatchesStdDistributions) {
     }
     // Still in lockstep after all helpers.
     EXPECT_EQ(rng.NextUInt64(), e());
+  }
+}
+
+// ---- bagcpd's own samplers: Exp(1) by inversion on one engine word, and the
+// ---- flat Dirichlet built on it. Their first draws are pinned to literals,
+// ---- so they cannot drift with the standard library or a refactor.
+
+TEST(RngSamplerPinTest, ExponentialFirstDraws) {
+  Rng rng(2024);
+  EXPECT_EQ(rng.Exponential(1.0), 0x1.f5a9ada00d7ep-2);
+  EXPECT_EQ(rng.Exponential(1.0), 0x1.d691da0402ba8p-3);
+  EXPECT_EQ(rng.Exponential(1.0), 0x1.535729a8aa38ap+0);
+  EXPECT_EQ(rng.Exponential(2.5), 0x1.c0cf15cef3c2bp-2);
+}
+
+TEST(RngSamplerPinTest, SymmetricDirichletFirstDraws) {
+  Rng rng(2024);
+  EXPECT_EQ(rng.SymmetricDirichlet(5),
+            (std::vector<double>{0x1.e7ef60b9ee8f3p-5, 0x1.c9b15e1ee84c9p-6,
+                                 0x1.4a0dfac47fa48p-3, 0x1.10d466c4026fcp-3,
+                                 0x1.3c7ae6a1494f9p-1}));
+  // The span form is the same sampler: it continues the same stream.
+  std::vector<double> out(3);
+  rng.SymmetricDirichlet(out.size(), out.data());
+  EXPECT_EQ(out, (std::vector<double>{0x1.832dcd9decee8p-1,
+                                      0x1.9e10c1dc080ebp-6,
+                                      0x1.bf86b14ccb442p-3}));
+}
+
+TEST(RngSamplerPinTest, ExponentialIsInversionOnOneWord) {
+  // The specification itself: -log(((w >> 11) + 1) * 2^-53) / rate on the
+  // engine's next word, finite and >= 0 for every word.
+  Rng rng(77);
+  Rng words(77);
+  for (int i = 0; i < 2000; ++i) {
+    const double rate = 0.5 + (i % 7);
+    const std::uint64_t w = words.NextUInt64();
+    const double want =
+        -std::log(static_cast<double>((w >> 11) + 1) * 0x1.0p-53) / rate;
+    const double got = rng.Exponential(rate);
+    ASSERT_EQ(got, want) << "draw " << i;
+    ASSERT_TRUE(std::isfinite(got) && got >= 0.0) << "draw " << i;
   }
 }
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "bagcpd/common/stats.h"
+#include "bagcpd/info/weighted_set.h"
+#include "bagcpd/runtime/thread_pool.h"
 
 namespace bagcpd {
 namespace {
@@ -204,6 +206,98 @@ TEST(BootstrapTest, RejectsBadOptions) {
                                       UniformPi(2), UniformPi(3), ok_options,
                                       &rng)
                    .ok());
+}
+
+// Appendix A's Dir(1, ..., 1) is chosen from the prior, not by testing
+// n * pi_i == 1.0: for n = 49 that product is 0.9999999999999999, and the
+// uniform prior must still take the flat sampler.
+TEST(BootstrapTest, UniformPriorOf49TakesTheFlatDirichlet) {
+  const std::size_t n = 49;
+  ASSERT_NE(static_cast<double>(n) * (1.0 / static_cast<double>(n)), 1.0);
+  Rng resampled(40);
+  Rng flat(40);
+  for (int t = 0; t < 20; ++t) {
+    EXPECT_EQ(ResampleWeights(BootstrapMethod::kBayesian, UniformPi(n),
+                              &resampled),
+              flat.SymmetricDirichlet(n))
+        << "draw " << t;
+  }
+}
+
+// The interval over uniform priors is the central interval of the scores of
+// Dir(1, ..., 1) replicates, replicate r drawn from Fork(r) of one word of
+// the caller's generator: the reference window's weights, then the test
+// window's. Serial and pooled runs both meet that definition.
+TEST(BootstrapTest, UniformIntervalIsFlatDirichletOverForkedStreams) {
+  const std::size_t tau = 49;
+  const std::size_t tau_prime = 3;
+  const ScoreContext ctx = SimpleContext(tau, tau_prime);
+  BootstrapOptions options;
+  options.replicates = 50;
+
+  Rng oracle_rng(41);
+  const Rng base(oracle_rng.NextUInt64());
+  std::vector<double> scores;
+  for (int r = 0; r < options.replicates; ++r) {
+    Rng rep = base.Fork(static_cast<std::uint64_t>(r));
+    const std::vector<double> gamma_ref = rep.SymmetricDirichlet(tau);
+    const std::vector<double> gamma_test = rep.SymmetricDirichlet(tau_prime);
+    scores.push_back(ComputeScore(ScoreType::kSymmetrizedKl, ctx, gamma_ref,
+                                  gamma_test)
+                         .ValueOrDie());
+  }
+  const Interval want = CentralInterval(scores, options.alpha).ValueOrDie();
+  const std::uint64_t next_word = oracle_rng.NextUInt64();
+
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    Rng rng(41);
+    const BootstrapInterval ci =
+        BootstrapScoreInterval(ScoreType::kSymmetrizedKl, ctx, UniformPi(tau),
+                               UniformPi(tau_prime), options, &rng, p)
+            .ValueOrDie();
+    EXPECT_EQ(ci.lo, want.lo);
+    EXPECT_EQ(ci.up, want.up);
+    EXPECT_EQ(ci.replicate_mean, Mean(scores));
+    EXPECT_EQ(rng.NextUInt64(), next_word);
+  }
+}
+
+// The discounted prior (Gamma draws) and the standard bootstrap (multinomial
+// draws) are outside the flat sampler: their intervals are pinned to the
+// values they had before it existed, bit for bit, together with the one word
+// each call takes from the caller's generator.
+TEST(BootstrapTest, DiscountedAndStandardIntervalsArePinned) {
+  const ScoreContext ctx = SimpleContext(5, 5);
+  BootstrapOptions bayesian;
+  bayesian.replicates = 100;
+  Rng discounted_rng(31);
+  const BootstrapInterval discounted =
+      BootstrapScoreInterval(ScoreType::kSymmetrizedKl, ctx,
+                             DiscountWeights(5, /*toward_end=*/true),
+                             DiscountWeights(5, /*toward_end=*/false),
+                             bayesian, &discounted_rng)
+          .ValueOrDie();
+  EXPECT_EQ(discounted.lo, 0x1.4c4ef4723feadp-1);
+  EXPECT_EQ(discounted.up, 0x1.b6d577bd4d67cp-1);
+  EXPECT_EQ(discounted.replicate_mean, 0x1.5f9e0e8da84e1p-1);
+  EXPECT_EQ(discounted.replicate_stddev, 0x1.c14b209406447p-5);
+  EXPECT_EQ(discounted_rng.NextUInt64(), 6018678912578767671ULL);
+
+  BootstrapOptions standard;
+  standard.replicates = 100;
+  standard.method = BootstrapMethod::kStandard;
+  Rng standard_rng(32);
+  const BootstrapInterval classic =
+      BootstrapScoreInterval(ScoreType::kLogLikelihoodRatio, ctx,
+                             UniformPi(5), UniformPi(5), standard,
+                             &standard_rng)
+          .ValueOrDie();
+  EXPECT_EQ(classic.lo, 0x1.3333333333332p-1);
+  EXPECT_EQ(classic.up, 0x1.3333333333332p+0);
+  EXPECT_EQ(classic.replicate_mean, 0x1.9cac083126e96p-1);
+  EXPECT_EQ(classic.replicate_stddev, 0x1.7fc685fa504dep-3);
+  EXPECT_EQ(standard_rng.NextUInt64(), 17885545588504842117ULL);
 }
 
 TEST(BootstrapTest, MethodNames) {

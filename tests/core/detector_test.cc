@@ -251,5 +251,39 @@ TEST(DetectorTest, WeightSchemeNames) {
   EXPECT_STREQ(WeightSchemeName(WeightScheme::kDiscounted), "discounted");
 }
 
+// weight=discounted keeps the Gamma-draw Dirichlet in the bootstrap, so a
+// discounted detector's intervals are pinned bit for bit to the values they
+// had before uniform priors moved to the flat Dir(1, ..., 1) sampler.
+TEST(DetectorTest, DiscountedDetectorIntervalsArePinned) {
+  DetectorOptions options;
+  options.tau = 4;
+  options.tau_prime = 4;
+  options.bootstrap.replicates = 60;
+  options.signature.method = SignatureMethod::kKMeans;
+  options.signature.k = 4;
+  options.seed = 11;
+  options.weight_scheme = WeightScheme::kDiscounted;
+  Rng data(7);
+  const GaussianMixture before = GaussianMixture::Isotropic({0.0, 0.0}, 0.5);
+  const GaussianMixture after = GaussianMixture::Isotropic({4.0, 4.0}, 0.5);
+  BagSequence bags;
+  for (int t = 0; t < 16; ++t) {
+    bags.push_back((t >= 8 ? after : before).SampleBag(20, &data));
+  }
+  auto detector = BagStreamDetector::Create(options).MoveValueUnsafe();
+  const std::vector<StepResult> steps = detector->Run(bags).ValueOrDie();
+  ASSERT_EQ(steps.size(), 9u);
+  int alarms = 0;
+  for (const StepResult& step : steps) alarms += step.alarm ? 1 : 0;
+  EXPECT_EQ(alarms, 1);
+  EXPECT_EQ(steps[4].time, 8u);
+  EXPECT_EQ(steps[4].ci_lo, 0x1.2edfe77f766cdp+1);
+  EXPECT_EQ(steps[4].ci_up, 0x1.3c23704ed5b34p+1);
+  EXPECT_EQ(steps.back().time, 12u);
+  EXPECT_EQ(steps.back().score, -0x1.b17e92c9b52ep-6);
+  EXPECT_EQ(steps.back().ci_lo, -0x1.0470a95a62129p-3);
+  EXPECT_EQ(steps.back().ci_up, 0x1.1d0684159a6dp-4);
+}
+
 }  // namespace
 }  // namespace bagcpd

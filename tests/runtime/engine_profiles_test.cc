@@ -4,6 +4,8 @@
 // equal to standalone detectors for any thread-pool size, and every
 // observable occurrence delivered as one typed event.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <map>
@@ -16,6 +18,7 @@
 #include "bagcpd/common/rng.h"
 #include "bagcpd/core/detector.h"
 #include "bagcpd/data/gmm.h"
+#include "bagcpd/fault/fault_injector.h"
 #include "bagcpd/runtime/stream_engine.h"
 #include "bagcpd/runtime/thread_pool.h"
 
@@ -145,6 +148,100 @@ TEST(EngineProfilesTest, ProfileConflictQuarantinesTheStream) {
             std::string::npos);
   EXPECT_EQ(engine->dropped_count(), 1u);
   EXPECT_EQ(engine->live_stream_count(), 0u);
+}
+
+// ---- A profile conflict quarantines the stream, and the kError event
+// ---- carries the BOUND profile. The bound profile lives in the detector,
+// ---- spill or recovery entry that the quarantine erases, so each test binds
+// ---- a name too long for the short-string buffer: reading it after the
+// ---- erase reads freed heap (and fails under ASan).
+
+constexpr char kLongProfile[] = "bound-profile-with-a-name-past-the-sso-buffer";
+
+struct ConflictEngine {
+  explicit ConflictEngine(StreamEngineOptions options) {
+    options.num_shards = 1;
+    options.detector = KlDetector();
+    options.detector.bootstrap.replicates = 0;
+    engine = StreamEngine::Create(options).MoveValueUnsafe();
+    EXPECT_TRUE(engine->RegisterProfile(kLongProfile, LrDetector()).ok());
+    EXPECT_TRUE(engine
+                    ->set_event_sink([this](const EngineEvent& event) {
+                      std::lock_guard<std::mutex> lock(mu);
+                      events.push_back(event);
+                    })
+                    .ok());
+  }
+
+  // The one kError event, which must name `key` and the bound profile.
+  void ExpectQuarantinedWithBoundProfile(const std::string& key) {
+    engine->Flush();
+    std::lock_guard<std::mutex> lock(mu);
+    std::size_t errors = 0;
+    for (const EngineEvent& event : events) {
+      if (event.kind != EngineEvent::Kind::kError) continue;
+      ++errors;
+      EXPECT_EQ(event.stream_id, key);
+      EXPECT_EQ(event.profile, kLongProfile);
+      EXPECT_NE(event.error.message().find("bound to profile"),
+                std::string::npos);
+    }
+    EXPECT_EQ(errors, 1u);
+  }
+
+  std::unique_ptr<StreamEngine> engine;
+  std::mutex mu;
+  std::vector<EngineEvent> events;
+};
+
+TEST(EngineProfilesTest, ConflictAgainstResidentStreamReportsBoundProfile) {
+  ConflictEngine fixture{StreamEngineOptions()};
+  const BagSequence bags = JumpStream(2, 0, 5);
+  ASSERT_TRUE(fixture.engine->Submit("k", bags[0], kLongProfile).ok());
+  ASSERT_TRUE(fixture.engine->Submit("k", bags[1]).ok());  // Conflict.
+  fixture.ExpectQuarantinedWithBoundProfile("k");
+  EXPECT_EQ(fixture.engine->live_stream_count(), 0u);
+}
+
+TEST(EngineProfilesTest, ConflictAgainstSpilledStreamReportsBoundProfile) {
+  std::string dir = ::testing::TempDir() + "bagcpd-profiles-XXXXXX";
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  StreamEngineOptions options;
+  options.spill_directory = dir;
+  options.max_idle_submissions = 4;
+  ConflictEngine fixture(options);
+  const BagSequence bags = JumpStream(2, 0, 6);
+  ASSERT_TRUE(fixture.engine->Submit("cold", bags[0], kLongProfile).ok());
+  // Enough other traffic for the idle sweep to spill "cold".
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(fixture.engine->Submit("busy", bags[1]).ok());
+  }
+  fixture.engine->Flush();
+  ASSERT_EQ(fixture.engine->spilled_count(), 1u);
+  ASSERT_TRUE(fixture.engine->Submit("cold", bags[1]).ok());  // Conflict.
+  fixture.ExpectQuarantinedWithBoundProfile("cold");
+  fixture.engine.reset();
+  EXPECT_EQ(rmdir(dir.c_str()), 0) << "quarantine leaves the spill file";
+}
+
+TEST(EngineProfilesTest, ConflictAgainstRecoveringStreamReportsBoundProfile) {
+  StreamEngineOptions options;
+  options.max_stream_faults = 2;
+  ConflictEngine fixture(options);
+  const BagSequence bags = JumpStream(3, 0, 7);
+  {
+    // The second push of "k" fails: the detector is torn down and the
+    // recovery record keeps the profile binding.
+    fault::ScopedFault armed("detector.push:nth:2");
+    ASSERT_TRUE(armed.status().ok());
+    ASSERT_TRUE(fixture.engine->Submit("k", bags[0], kLongProfile).ok());
+    ASSERT_TRUE(fixture.engine->Submit("k", bags[1], kLongProfile).ok());
+    fixture.engine->Flush();
+    EXPECT_EQ(armed.fired(), 1u);
+  }
+  ASSERT_EQ(fixture.engine->stream_fault_count(), 1u);
+  ASSERT_TRUE(fixture.engine->Submit("k", bags[2]).ok());  // Conflict.
+  fixture.ExpectQuarantinedWithBoundProfile("k");
 }
 
 TEST(EngineProfilesTest, MultiProfileResultsInvariantToShardCount) {
@@ -299,9 +396,10 @@ TEST(EngineProfilesTest, EventSinkReceivesEveryKind) {
         EXPECT_EQ(event.stream_id, "broken");
         EXPECT_FALSE(event.error.ok());
         break;
+      case EngineEvent::Kind::kStreamFault:
       case EngineEvent::Kind::kCheckpoint:
       case EngineEvent::Kind::kRestore:
-        ADD_FAILURE() << "no checkpoint traffic in this test";
+        ADD_FAILURE() << "no fault budget or checkpoint traffic in this test";
         break;
     }
   }

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../alloc_counter.h"
 #include "bagcpd/common/buffer_arena.h"
 #include "bagcpd/common/rng.h"
 #include "bagcpd/core/detector.h"
@@ -312,6 +313,67 @@ TEST_F(DetectorStateRobustnessTest, HostileRngStateIsInvalid) {
   const Status status = victim->ImportState(hostile);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
   ExpectUnmodified(victim.get(), 5);
+}
+
+TEST_F(DetectorStateRobustnessTest, InflatedSlotCountIsIoErrorWithoutAllocating) {
+  // A CRC-valid blob whose first window slot claims 2^31 centers: the ring
+  // section is re-encoded with only that count changed, so the checksum
+  // holds and only the slot bound can object, before any buffer is sized.
+  Result<serialize::WireReader> opened =
+      serialize::OpenBlob(blob_, serialize::BlobKind::kDetector);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  serialize::WireReader reader = opened.MoveValueUnsafe();
+  std::string hostile;
+  serialize::WireWriter writer(&hostile);
+  writer.BeginBlob(serialize::BlobKind::kDetector);
+  bool saw_ring = false;
+  while (!reader.AtEnd()) {
+    std::uint32_t tag = 0;
+    std::string_view payload;
+    ASSERT_TRUE(reader.NextSection(&tag, &payload).ok());
+    writer.BeginSection(tag);
+    if (tag == serialize::kSecRing) {
+      serialize::WireReader section(payload);
+      std::uint32_t dim = 0, count = 0, k = 0;
+      ASSERT_TRUE(section.ReadU32(&dim).ok());
+      ASSERT_TRUE(section.ReadU32(&count).ok());
+      ASSERT_GT(count, 0u);
+      ASSERT_TRUE(section.ReadU32(&k).ok());
+      std::string_view rest;
+      ASSERT_TRUE(section.ReadBytes(section.remaining(), &rest).ok());
+      writer.PutU32(dim);
+      writer.PutU32(count);
+      writer.PutU32(0x80000000u);
+      writer.PutBytes(rest.data(), rest.size());
+      saw_ring = true;
+    } else {
+      writer.PutBytes(payload.data(), payload.size());
+    }
+    writer.EndSection();
+  }
+  writer.EndBlob();
+  ASSERT_TRUE(saw_ring);
+
+  auto victim = BagStreamDetector::Create(BaseOptions()).MoveValueUnsafe();
+  for (std::size_t t = 0; t < 5; ++t) ASSERT_TRUE(victim->Push(bags_[t]).ok());
+  alloc_counter::Reset();
+  const Status status = victim->ImportState(hostile);
+  const std::size_t largest = alloc_counter::largest.load();
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+  // No request anywhere near the claimed 2^31 * (dim + 1) doubles: nothing
+  // larger than the blob itself.
+  EXPECT_LE(largest, hostile.size());
+  ExpectUnmodified(victim.get(), 5);
+}
+
+// The estimate counts the detector object (its Rng and MT state included)
+// once, plus the heap buffers: for a fresh tau = tau' = 3 detector, the empty
+// ring's 6 slot sizes and the 6 x 6 log table.
+TEST(DetectorStateTest, EstimatedStateBytesCountsTheRngOnce) {
+  auto detector = BagStreamDetector::Create(BaseOptions()).MoveValueUnsafe();
+  EXPECT_EQ(detector->EstimatedStateBytes(),
+            sizeof(BagStreamDetector) + 6 * sizeof(std::size_t) +
+                36 * sizeof(double));
 }
 
 TEST(DetectorStateTest, EstimatedStateBytesTracksWindowFill) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -150,6 +151,22 @@ TEST(WireTest, UnknownSectionsAreSkippable) {
     tags.push_back(tag);
   }
   EXPECT_EQ(tags, (std::vector<std::uint32_t>{1000, 3}));
+}
+
+TEST(WireTest, F64ArrayBoundDoesNotOverflow) {
+  // 8 * n wraps to 0 for n = 2^61; the bound must still see that the 16
+  // bytes cannot hold n doubles, and a rejected read writes nothing.
+  const std::string bytes(16, '\x11');
+  WireReader reader(bytes);
+  double out[2] = {-1.0, -1.0};
+  const std::size_t wrapping = std::numeric_limits<std::size_t>::max() / 8 + 1;
+  EXPECT_EQ(reader.ReadF64Array(out, wrapping).code(), StatusCode::kIoError);
+  EXPECT_EQ(reader.ReadF64Array(out, 3).code(), StatusCode::kIoError);
+  EXPECT_EQ(out[0], -1.0);
+  EXPECT_EQ(out[1], -1.0);
+  EXPECT_EQ(reader.remaining(), 16u);
+  EXPECT_TRUE(reader.ReadF64Array(out, 2).ok());
+  EXPECT_TRUE(reader.AtEnd());
 }
 
 TEST(WireTest, CrcMatchesKnownVector) {
